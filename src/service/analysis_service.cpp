@@ -88,7 +88,6 @@ bool AnalysisService::start(const std::string& path, std::string* error) {
   seg_.header().daemon_pid.store(static_cast<std::uint32_t>(::getpid()),
                                  std::memory_order_release);
   seg_.header().daemon_heartbeat.fetch_add(1, std::memory_order_relaxed);
-  stopping_.store(false, std::memory_order_relaxed);
   drainers_.reserve(opts_.drainers);
   for (std::uint32_t d = 0; d < opts_.drainers; ++d)
     drainers_.emplace_back([this, d] { drainer_loop(d); });
@@ -127,7 +126,6 @@ void AnalysisService::stop(std::uint32_t timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   SegmentLayout& l = seg_.layout();
-  stopping_.store(true, std::memory_order_release);
   while (std::chrono::steady_clock::now() < deadline) {
     bool outstanding = false;
     for (std::uint32_t s = 0; s < kMaxProducers; ++s) {
@@ -288,26 +286,40 @@ void AnalysisService::stage_access(SlotCtx& ctx, BatchedEvent::Kind kind,
 
 void AnalysisService::process(std::uint32_t d, SlotCtx& ctx,
                               const rt::TraceEvent* ev, std::size_t n) {
-  const std::uint32_t slot = ctx.slot;
-  ProducerSlot& ctl = seg_.layout().slots[slot];
+  ProducerSlot& ctl = seg_.layout().slots[ctx.slot];
   // Namespace by the slot's *incarnation* tag, not its index: a reclaimed
   // slot's new producer must never alias its dead predecessor's memory.
   const std::uint32_t tag = ctl.ns_tag.load(std::memory_order_relaxed);
+  // The per-event path writes only drainer-private state (§IV-A: the
+  // same-epoch check is cheap because it is thread-local). Counts collect
+  // here and are published once, after the loop.
+  std::uint64_t filtered = 0;
+  std::uint64_t quarantined = 0;
+  // Runs of same-tid events skip the thread-map lookup. Map nodes never
+  // move, so the pointer survives the inserts a thread start makes.
+  ThreadCtx* last = nullptr;
+  ThreadId last_tid = kInvalidThread;
+  const auto thread = [&](ThreadId local) -> ThreadCtx& {
+    if (last == nullptr || local != last_tid) {
+      last = &ensure_thread(d, ctx, local);
+      last_tid = local;
+    }
+    return *last;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const rt::TraceEvent& e = ev[i];
     // Trust boundary: the producer is an arbitrary external process. A
     // malformed record is quarantined (counted, skipped) instead of being
     // delivered into detector shadow state.
     if (!rt::wire_valid(e, opts_.max_access_size)) {
-      ctl.quarantined.fetch_add(1, std::memory_order_relaxed);
-      seg_.header().quarantined_total.fetch_add(1, std::memory_order_relaxed);
+      ++quarantined;
       continue;
     }
     switch (e.kind) {
       case rt::EventKind::kRead:
       case rt::EventKind::kWrite: {
         if (e.size == 0) break;
-        ThreadCtx& tc = ensure_thread(d, ctx, e.tid);
+        ThreadCtx& tc = thread(e.tid);
         const Addr addr = namespaced(tag, e.addr);
         const AccessType type = e.kind == rt::EventKind::kRead
                                     ? AccessType::kRead
@@ -315,8 +327,7 @@ void AnalysisService::process(std::uint32_t d, SlotCtx& ctx,
         if (tc.bitmap != nullptr &&
             tc.serial != AccessEventSink::kNoSameEpochSerial &&
             tc.bitmap->test_and_set(addr, e.size, type, tc.serial)) {
-          ctl.filtered.fetch_add(1, std::memory_order_relaxed);
-          filtered_.fetch_add(1, std::memory_order_relaxed);
+          ++filtered;
           break;
         }
         stage_access(ctx, type == AccessType::kRead
@@ -329,8 +340,7 @@ void AnalysisService::process(std::uint32_t d, SlotCtx& ctx,
         if (ctx.threads.find(e.tid) != ctx.threads.end()) break;  // dup
         ThreadId parent_g = kInvalidThread;
         if (e.aux != kInvalidThread)
-          parent_g =
-              ensure_thread(d, ctx, static_cast<ThreadId>(e.aux)).global;
+          parent_g = thread(static_cast<ThreadId>(e.aux)).global;
         ThreadCtx& tc = ctx.threads[e.tid];
         tc.global = next_tid_.fetch_add(1, std::memory_order_relaxed);
         if (opts_.filter_same_epoch)
@@ -340,40 +350,39 @@ void AnalysisService::process(std::uint32_t d, SlotCtx& ctx,
         refresh_serial(tc);
         // The fork also bumped the parent's clock.
         if (parent_g != kInvalidThread)
-          refresh_serial(ctx.threads[static_cast<ThreadId>(e.aux)]);
+          refresh_serial(thread(static_cast<ThreadId>(e.aux)));
         break;
       }
       case rt::EventKind::kThreadJoin: {
-        ThreadCtx& joiner = ensure_thread(d, ctx, e.tid);
-        ThreadCtx& joined =
-            ensure_thread(d, ctx, static_cast<ThreadId>(e.aux));
+        ThreadCtx& joiner = thread(e.tid);
+        ThreadCtx& joined = thread(static_cast<ThreadId>(e.aux));
         flush_staged(d, ctx);
         det_->on_thread_join(joiner.global, joined.global);
         refresh_serial(joiner);
         break;
       }
       case rt::EventKind::kAcquire: {
-        ThreadCtx& tc = ensure_thread(d, ctx, e.tid);
+        ThreadCtx& tc = thread(e.tid);
         flush_staged(d, ctx);
         det_->on_acquire(tc.global, namespaced(tag, e.addr));
         refresh_serial(tc);
         break;
       }
       case rt::EventKind::kRelease: {
-        ThreadCtx& tc = ensure_thread(d, ctx, e.tid);
+        ThreadCtx& tc = thread(e.tid);
         flush_staged(d, ctx);
         det_->on_release(tc.global, namespaced(tag, e.addr));
         refresh_serial(tc);
         break;
       }
       case rt::EventKind::kAlloc: {
-        ThreadCtx& tc = ensure_thread(d, ctx, e.tid);
+        ThreadCtx& tc = thread(e.tid);
         flush_staged(d, ctx);
         det_->on_alloc(tc.global, namespaced(tag, e.addr), e.aux);
         break;
       }
       case rt::EventKind::kFree: {
-        ThreadCtx& tc = ensure_thread(d, ctx, e.tid);
+        ThreadCtx& tc = thread(e.tid);
         flush_staged(d, ctx);
         det_->on_free(tc.global, namespaced(tag, e.addr), e.aux);
         break;
@@ -382,10 +391,25 @@ void AnalysisService::process(std::uint32_t d, SlotCtx& ctx,
         // Per-producer end-of-stream marker; the single detector-level
         // on_finish is emitted once, at stop().
         flush_staged(d, ctx);
-        ctx.finished_seen = true;
         break;
     }
   }
+  if (filtered != 0)
+    ctl.filtered.fetch_add(filtered, std::memory_order_relaxed);
+  if (quarantined != 0) {
+    ctl.quarantined.fetch_add(quarantined, std::memory_order_relaxed);
+    seg_.header().quarantined_total.fetch_add(quarantined,
+                                              std::memory_order_relaxed);
+  }
+}
+
+void AnalysisService::count_ingested(std::uint64_t n) {
+  // Both counters are shared by every drainer: touch them only when the
+  // feature reading them is on.
+  if (opts_.gc_every_events != 0)
+    events_since_gc_.fetch_add(n, std::memory_order_relaxed);
+  if (opts_.die_after_events != 0)
+    ingested_.fetch_add(n, std::memory_order_relaxed);
 }
 
 void AnalysisService::maybe_gc() {
@@ -447,8 +471,7 @@ void AnalysisService::reclaim_crashed(std::uint32_t d, SlotCtx& ctx) {
   flush_staged(d, ctx);
   if (residue > 0) {
     ctl.drained.fetch_add(residue, std::memory_order_relaxed);
-    events_since_gc_.fetch_add(residue, std::memory_order_relaxed);
-    ingested_.fetch_add(residue, std::memory_order_relaxed);
+    count_ingested(residue);
   }
 
   const std::uint32_t pid = ctl.pid.load(std::memory_order_relaxed);
@@ -488,7 +511,6 @@ void AnalysisService::reclaim_crashed(std::uint32_t d, SlotCtx& ctx) {
   // alias the dead incarnation's memory. kFree is published last.
   ctx.threads.clear();
   for (auto& buf : ctx.staged) buf.clear();
-  ctx.finished_seen = false;
   ctx.hb_valid = false;
   ctl.pushed.store(0, std::memory_order_relaxed);
   ctl.push_hwm.store(0, std::memory_order_relaxed);
@@ -537,8 +559,7 @@ void AnalysisService::drainer_loop(std::uint32_t d) {
         ctl.drain_ns.fetch_add(ns, std::memory_order_relaxed);
         if (ns > ctl.max_drain_ns.load(std::memory_order_relaxed))
           ctl.max_drain_ns.store(ns, std::memory_order_relaxed);
-        events_since_gc_.fetch_add(got, std::memory_order_relaxed);
-        ingested_.fetch_add(got, std::memory_order_relaxed);
+        count_ingested(got);
         progress = true;
       }
       // Retire the slot once its producer finished and the ring is empty.

@@ -23,6 +23,10 @@
 // therefore the union of per-producer analyses, deterministic regardless
 // of drain interleaving.
 //
+// The per-access path writes no shared memory: filter and quarantine
+// counts are published to the slot once per drain call, so mid-run they
+// may lag by one call; they are exact once stop() returns.
+//
 // Memory stays bounded two ways: the PR-5 pressure governor (optional
 // budget) and the epoch GC — every gc_every_events ingested events a
 // drainer calls Detector::gc_clocks, losslessly compacting clocks of
@@ -160,7 +164,6 @@ class AnalysisService {
     std::uint32_t slot = 0;
     std::unordered_map<ThreadId, ThreadCtx> threads;  // local tid -> ctx
     std::vector<std::vector<BatchedEvent>> staged;    // one per shard
-    bool finished_seen = false;
     // Producer-liveness tracking (crash detection needs the heartbeat to
     // be flat across two polls before the pid probe is believed — a
     // producer observed mid-claim must not be declared dead).
@@ -177,6 +180,8 @@ class AnalysisService {
   void reclaim_crashed(std::uint32_t d, SlotCtx& ctx);
   void process(std::uint32_t d, SlotCtx& ctx, const rt::TraceEvent* ev,
                std::size_t n);
+  /// Account `n` drained events to the GC and die-after triggers.
+  void count_ingested(std::uint64_t n);
   void flush_staged(std::uint32_t d, SlotCtx& ctx);
   ThreadCtx& ensure_thread(std::uint32_t d, SlotCtx& ctx, ThreadId local);
   void refresh_serial(ThreadCtx& tc);
@@ -201,12 +206,10 @@ class AnalysisService {
   std::atomic<std::uint32_t> next_tid_{0};
   std::atomic<std::uint64_t> events_since_gc_{0};
   std::atomic<std::uint64_t> ingested_{0};
-  std::atomic<std::uint64_t> filtered_{0};
   /// Serializes writers of the segment's crash log (drainers of different
   /// slots can crash-reclaim concurrently) and in-process readers; cross-
   /// process readers stay lock-free on the acquire-published crash_count.
   mutable std::mutex crash_mu_;
-  std::atomic<bool> stopping_{false};
   bool concurrent_set_ = false;
   bool running_ = false;
   bool started_ = false;

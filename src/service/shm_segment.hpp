@@ -8,12 +8,14 @@
 // on the supported targets, so the pairing works across two mappings of
 // the same pages.
 //
-// Segment layout (all standard-layout, placement-new'ed by the creator):
+// Segment layout, format v3 (all standard-layout, placement-new'ed by the
+// creator):
 //
 //   SegmentHeader          magic/version/geometry, go + shutdown flags,
 //                          drainer doorbells, service-level telemetry
 //   ProducerSlot[N]        per-producer control block: claim state, spec
 //                          string, producer- and drainer-side counters
+//                          (one cache line each)
 //   ProducerRing[N]        SpscRing<rt::TraceEvent, 16384> per producer
 //
 // Doorbells: a drainer that finds all its rings empty parks on a futex
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,7 +44,11 @@ inline constexpr std::uint64_t kSegmentMagic = 0x44474e5345473031ULL;  // DGNSEG
 
 // v2: producer/daemon heartbeats, crash log, slot reclamation (kCrashed),
 // per-incarnation namespace tags, quarantine/drop accounting.
-inline constexpr std::uint32_t kSegmentVersion = 2;
+// v3: ProducerSlot's producer-written and drainer-written counters sit on
+// separate cache lines (the slot grew, so v2 and v3 builds refuse each
+// other through the version check).
+inline constexpr std::uint32_t kSegmentVersion = 3;
+inline constexpr std::size_t kCacheLine = 64;
 inline constexpr std::uint32_t kMaxProducers = 16;
 inline constexpr std::uint32_t kMaxDrainers = 8;
 inline constexpr std::size_t kShmRingCapacity = 16384;
@@ -75,8 +82,10 @@ struct ProducerSlot {
   // (workload spec, used by dgtraced --parity to rebuild the stream).
   char spec[kSpecBytes] = {};
 
-  // Producer-side counters (single writer: the producer).
-  std::atomic<std::uint64_t> pushed{0};
+  // Producer-side counters (single writer: the producer). They own their
+  // cache line: the producer bumps them on every push, and a line shared
+  // with the drainer's counters would bounce on every drain.
+  alignas(kCacheLine) std::atomic<std::uint64_t> pushed{0};
   std::atomic<std::uint64_t> push_hwm{0};     // max ring depth seen at push
   std::atomic<std::uint64_t> full_stalls{0};  // pushes that found it full
   /// Liveness beacon: bumped by the producer on every push iteration and
@@ -87,14 +96,30 @@ struct ProducerSlot {
   /// (bounded backoff instead of an unbounded full-ring hang).
   std::atomic<std::uint64_t> dropped{0};
 
-  // Drainer-side counters (single writer: the owning drainer).
-  std::atomic<std::uint64_t> drained{0};    // events consumed from the ring
+  // Drainer-side counters (single writer: the owning drainer), on their
+  // own cache line. `filtered` and `quarantined` are published once per
+  // drain call, so mid-run they may lag by one call; exact after stop().
+  alignas(kCacheLine) std::atomic<std::uint64_t> drained{0};  // ring events
   std::atomic<std::uint64_t> filtered{0};   // dropped by the same-epoch tier
   std::atomic<std::uint64_t> quarantined{0};  // malformed events rejected
   std::atomic<std::uint64_t> drains{0};     // non-empty ring drains
   std::atomic<std::uint64_t> drain_ns{0};   // total time inside drains
   std::atomic<std::uint64_t> max_drain_ns{0};
 };
+
+// v3 layout guards: producer-written and drainer-written counters never
+// share a cache line.
+static_assert(offsetof(ProducerSlot, pushed) % kCacheLine == 0);
+static_assert(offsetof(ProducerSlot, drained) % kCacheLine == 0);
+static_assert(offsetof(ProducerSlot, dropped) + sizeof(std::uint64_t) <=
+                  offsetof(ProducerSlot, drained),
+              "producer counters must end before the drainer line");
+static_assert(offsetof(ProducerSlot, dropped) / kCacheLine ==
+                  offsetof(ProducerSlot, pushed) / kCacheLine,
+              "producer counters must fit one line");
+static_assert(offsetof(ProducerSlot, max_drain_ns) / kCacheLine ==
+                  offsetof(ProducerSlot, drained) / kCacheLine,
+              "drainer counters must fit one line");
 
 /// One reclaimed-producer post-mortem, written by the owning drainer
 /// before the publishing store of SegmentHeader::crash_count.

@@ -15,12 +15,16 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/memtrack.hpp"
 #include "detect/dyngran.hpp"
 #include "report/report_sink.hpp"
 #include "report/report_store.hpp"
@@ -29,6 +33,7 @@
 #include "service/analysis_service.hpp"
 #include "service/fault_plan.hpp"
 #include "service/shm_segment.hpp"
+#include "shadow/epoch_bitmap.hpp"
 
 // fork() inside a ThreadSanitizer'd multithreaded test is unsupported;
 // the fork-based crash simulations skip themselves under tsan.
@@ -206,7 +211,8 @@ TEST(AnalysisServiceTest, ConsumerSideSameEpochFilterPreservesRaces) {
   service::ServiceStats st;
   run_service(det, {}, temp_segment("filter"), {ev}, &st);
 
-  EXPECT_GT(st.filtered, 0u);
+  // Every read but the first of the 200 is a same-epoch repeat.
+  EXPECT_EQ(st.filtered, 199u);
   EXPECT_EQ(det.sink().unique_races(), reference.sink().unique_races());
 }
 
@@ -593,16 +599,10 @@ TEST(DaemonLivenessTest, HeartbeatStallAloneDeclaresDaemonDead) {
   ::unlink(path.c_str());
 }
 
-TEST(QuarantineTest, MalformedEventsNeverReachTheDetector) {
+// One record of every flavour the wire validator rejects.
+std::vector<rt::TraceEvent> malformed_records() {
   using rt::EventKind;
-  const auto clean = racy_trace(3, 2);
-  DynGranDetector reference;
-  rt::replay_trace(clean, reference);
-
-  // Interleave malformed records through the clean stream: every flavour
-  // the validator rejects.
-  std::vector<rt::TraceEvent> dirty;
-  const std::vector<rt::TraceEvent> bad = {
+  return {
       {static_cast<EventKind>(0), 0, 4, 1, 0x9990, 0},    // kind 0
       {static_cast<EventKind>(42), 0, 0, 1, 0x9991, 0},   // kind > kFinish
       {EventKind::kWrite, 7, 4, 1, 0x9992, 0},            // reserved pad
@@ -611,6 +611,17 @@ TEST(QuarantineTest, MalformedEventsNeverReachTheDetector) {
       {EventKind::kRead, 0, 4, kInvalidThread, 0x9995, 0},  // invalid tid
       {EventKind::kAcquire, 0, 9, 1, 0x9996, 0},          // sized sync event
   };
+}
+
+TEST(QuarantineTest, MalformedEventsNeverReachTheDetector) {
+  const auto clean = racy_trace(3, 2);
+  DynGranDetector reference;
+  rt::replay_trace(clean, reference);
+
+  // Interleave malformed records through the clean stream: every flavour
+  // the validator rejects.
+  std::vector<rt::TraceEvent> dirty;
+  const std::vector<rt::TraceEvent> bad = malformed_records();
   std::size_t bi = 0;
   for (const auto& e : clean) {
     dirty.push_back(e);
@@ -627,6 +638,148 @@ TEST(QuarantineTest, MalformedEventsNeverReachTheDetector) {
   // Containment: analysis equals the clean stream's — the malformed
   // records changed nothing but the quarantine counter.
   EXPECT_EQ(det.sink().unique_races(), reference.sink().unique_races());
+}
+
+// A stream longer than the shared-memory ring, so drains wrap and hand the
+// drainer two segments. Three threads take turns in runs of 8 accesses over
+// a small working set (plenty of same-epoch repeats), lock rounds move
+// their epochs, and a malformed record lands every 97 iterations.
+// `variant` shifts the working set and the length so producers differ.
+std::vector<rt::TraceEvent> wrapping_stream(unsigned variant,
+                                            std::uint64_t* malformed) {
+  using rt::EventKind;
+  const std::vector<rt::TraceEvent> bad = malformed_records();
+  std::vector<rt::TraceEvent> ev;
+  ev.push_back({EventKind::kThreadStart, 0, 0, 0, 0, kInvalidThread});
+  for (ThreadId t = 1; t <= 3; ++t)
+    ev.push_back({EventKind::kThreadStart, 0, 0, t, 0, 0});
+  *malformed = 0;
+  const unsigned iters =
+      static_cast<unsigned>(service::kShmRingCapacity) * 3 / 2 +
+      1000 * variant;
+  for (unsigned i = 0; i < iters; ++i) {
+    const ThreadId t = 1 + (i / 8) % 3;
+    const Addr a = 0x10000 + static_cast<Addr>(t) * 0x1000 +
+                   static_cast<Addr>((i * 7 + variant) % 16) * 8;
+    ev.push_back(
+        {i % 5 == 0 ? EventKind::kWrite : EventKind::kRead, 0, 8, t, a, 0});
+    if (i % 211 == 0) {
+      ev.push_back({EventKind::kAcquire, 0, 0, t, 0x10, 0});
+      ev.push_back({EventKind::kRelease, 0, 0, t, 0x10, 0});
+    }
+    if (i % 97 == 0) ev.push_back(bad[(*malformed)++ % bad.size()]);
+  }
+  for (ThreadId t = 1; t <= 2; ++t)
+    ev.push_back({EventKind::kWrite, 0, 8, t, 0x50000 + variant * 8, 0});
+  for (ThreadId t = 1; t <= 3; ++t)
+    ev.push_back({EventKind::kThreadJoin, 0, 0, 0, 0, t});
+  ev.push_back({EventKind::kFinish, 0, 0, 0, 0, 0});
+  return ev;
+}
+
+// Sequential model of the drainer's same-epoch filter: one EpochBitmap per
+// thread, keyed by the detector's epoch serial, which only sync events
+// move. Returns how many accesses it swallows.
+std::uint64_t sequential_filtered(const std::vector<rt::TraceEvent>& ev) {
+  using rt::EventKind;
+  DynGranDetector det;
+  MemoryAccountant acct;
+  std::unordered_map<ThreadId, std::unique_ptr<EpochBitmap>> bitmaps;
+  std::uint64_t filtered = 0;
+  for (const rt::TraceEvent& e : ev) {
+    if (!rt::wire_valid(e)) continue;
+    switch (e.kind) {
+      case EventKind::kRead:
+      case EventKind::kWrite: {
+        auto& bm = bitmaps[e.tid];
+        if (bm == nullptr) bm = std::make_unique<EpochBitmap>(acct);
+        const AccessType type = e.kind == EventKind::kRead
+                                    ? AccessType::kRead
+                                    : AccessType::kWrite;
+        if (bm->test_and_set(e.addr, e.size, type,
+                             det.same_epoch_serial(e.tid)))
+          ++filtered;
+        break;
+      }
+      case EventKind::kThreadStart:
+        det.on_thread_start(e.tid, static_cast<ThreadId>(e.aux));
+        break;
+      case EventKind::kThreadJoin:
+        det.on_thread_join(e.tid, static_cast<ThreadId>(e.aux));
+        break;
+      case EventKind::kAcquire:
+        det.on_acquire(e.tid, e.addr);
+        break;
+      case EventKind::kRelease:
+        det.on_release(e.tid, e.addr);
+        break;
+      default:
+        break;
+    }
+  }
+  return filtered;
+}
+
+TEST(ExactAccountingTest, TwoDrainersCountWrappingDirtyStreamsExactly) {
+  DynGranConfig cfg;
+  cfg.shards = 4;
+  std::vector<std::vector<rt::TraceEvent>> streams;
+  std::vector<std::uint64_t> malformed(2);
+  std::vector<std::uint64_t> expect_filtered;
+  std::uint64_t expect_races = 0;
+  for (unsigned p = 0; p < 2; ++p) {
+    streams.push_back(wrapping_stream(p, &malformed[p]));
+    ASSERT_GT(streams[p].size(), service::kShmRingCapacity);
+    expect_filtered.push_back(sequential_filtered(streams[p]));
+    ASSERT_GT(expect_filtered[p], 0u);
+    std::vector<rt::TraceEvent> clean;
+    for (const auto& e : streams[p])
+      if (rt::wire_valid(e)) clean.push_back(e);
+    DynGranDetector reference(cfg);
+    rt::replay_trace(clean, reference);
+    expect_races += reference.sink().unique_races();
+  }
+  ASSERT_GT(expect_races, 0u);
+  ASSERT_NE(malformed[0], malformed[1]);
+
+  DynGranDetector det(cfg);
+  service::ServiceOptions opts;
+  opts.drainers = 2;
+  const std::string path = temp_segment("exact");
+  ::unlink(path.c_str());
+  service::AnalysisService svc(det, opts);
+  std::string err;
+  ASSERT_TRUE(svc.start(path, &err)) << err;
+  std::vector<std::thread> producers;
+  for (unsigned p = 0; p < 2; ++p)
+    producers.emplace_back([&, p] {
+      produce(path, streams[p], ("exact:" + std::to_string(p)).c_str());
+    });
+  ASSERT_TRUE(svc.wait_producers(2, 20000));
+  svc.open_gate();
+  svc.stop(60000);
+  for (auto& t : producers) t.join();
+
+  const service::SegmentLayout& l = svc.segment().layout();
+  std::uint32_t seen = 0;
+  for (std::uint32_t s = 0; s < service::kMaxProducers; ++s) {
+    const service::ProducerSlot& slot = l.slots[s];
+    unsigned p = 0;
+    if (std::sscanf(slot.spec, "exact:%u", &p) != 1) continue;
+    ASSERT_LT(p, 2u);
+    ++seen;
+    EXPECT_EQ(slot.pushed.load(), streams[p].size()) << "producer " << p;
+    EXPECT_EQ(slot.drained.load(), slot.pushed.load()) << "producer " << p;
+    EXPECT_EQ(slot.filtered.load(), expect_filtered[p]) << "producer " << p;
+    EXPECT_EQ(slot.quarantined.load(), malformed[p]) << "producer " << p;
+  }
+  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(l.header.quarantined_total.load(), malformed[0] + malformed[1]);
+  const service::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.filtered, expect_filtered[0] + expect_filtered[1]);
+  EXPECT_EQ(st.quarantined, malformed[0] + malformed[1]);
+  EXPECT_EQ(det.sink().unique_races(), expect_races);
+  ::unlink(path.c_str());
 }
 
 TEST(WireValidTest, AcceptsRealTracesRejectsGarbage) {
